@@ -26,6 +26,7 @@
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <thread>
 
@@ -58,7 +59,24 @@ void PrintStats(const server::ServerStats& stats) {
   }
 }
 
+// Handlers go in before any slow setup: a ctrl-c while loading or spawning
+// must take the graceful path (workers ignore SIGINT and only stop on the
+// fleet's SIGTERM), not kill this process with the fleet still running.
+void InstallStopHandlers() {
+  std::signal(SIGINT, HandleSignal);
+  std::signal(SIGTERM, HandleSignal);
+}
+
+void WaitForStop(const std::string& socket_path) {
+  std::printf("serving on %s (ctrl-c to drain and exit)\n",
+              socket_path.c_str());
+  while (!g_stop.load()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  }
+}
+
 int Serve(const std::string& index_path, const std::string& socket_path) {
+  InstallStopHandlers();
   auto loaded = search::ShardedLakeIndex::Load(index_path);
   if (!loaded.ok()) {
     std::fprintf(stderr, "load failed: %s\n", loaded.status().ToString().c_str());
@@ -71,18 +89,17 @@ int Serve(const std::string& index_path, const std::string& socket_path) {
                   : "float32",
               loaded.value().num_shards(),
               loaded.value().num_shards() == 1 ? "" : "s");
+  if (g_stop.load()) {
+    std::printf("stop requested during load; not serving\n");
+    return 0;
+  }
 
   server::LakeServer lake_server(std::move(loaded).value());
   if (Status status = lake_server.Start(socket_path); !status.ok()) {
     std::fprintf(stderr, "start failed: %s\n", status.ToString().c_str());
     return 1;
   }
-  std::signal(SIGINT, HandleSignal);
-  std::signal(SIGTERM, HandleSignal);
-  std::printf("serving on %s (ctrl-c to drain and exit)\n", socket_path.c_str());
-  while (!g_stop.load()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(200));
-  }
+  WaitForStop(socket_path);
   std::printf("\ndraining...\n");
   lake_server.Stop();
   PrintStats(lake_server.stats());  // still readable after Stop
@@ -91,6 +108,7 @@ int Serve(const std::string& index_path, const std::string& socket_path) {
 
 int ServeDistributed(const std::string& manifest_path,
                      const std::string& socket_path) {
+  InstallStopHandlers();
   // Workers first (the fleet forks before this process grows threads and
   // rolls partial failures back itself), then the coordinator handshake.
   // Worker s serves on "<socket_path>.shard-s"; workers ignore the
@@ -122,29 +140,30 @@ int ServeDistributed(const std::string& manifest_path,
       "processes\n",
       coordinator.value().num_tables(), coordinator.value().dim(), storage,
       fleet.value().num_workers());
+  if (g_stop.load()) {
+    std::printf("stop requested during setup; stopping %zu workers\n",
+                fleet.value().num_workers());
+    fleet.value().StopAll();
+    return 0;
+  }
 
-  server::LakeServer lake_server(std::move(coordinator).value());
+  auto backend = std::make_unique<server::DistributedBackend>(
+      std::move(coordinator).value());
+  const server::DistributedLakeIndex& index = backend->index();
+  server::LakeServer lake_server(std::move(backend));
   if (Status status = lake_server.Start(socket_path); !status.ok()) {
     std::fprintf(stderr, "start failed: %s\n", status.ToString().c_str());
     return 1;
   }
-  std::signal(SIGINT, HandleSignal);
-  std::signal(SIGTERM, HandleSignal);
-  std::printf("serving on %s (ctrl-c to drain and exit)\n",
-              socket_path.c_str());
-  while (!g_stop.load()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(200));
-  }
+  WaitForStop(socket_path);
   std::printf("\ndraining coordinator, stopping %zu workers...\n",
               fleet.value().num_workers());
   lake_server.Stop();
   PrintStats(lake_server.stats());
-  // Worker-side view of the same traffic: each public query fans out as
-  // one SHARD_QUERY per worker, so the fleet total is ~requests x workers.
-  const server::DistributedBackend& backend =
-      static_cast<const server::DistributedBackend&>(lake_server.backend());
-  if (auto worker_stats = backend.index().AggregateStats();
-      worker_stats.ok()) {
+  // Worker-side view of the same traffic: each coordinator batch costs
+  // every worker one SHARD_QUERY (more only for frames past the size
+  // limits), so the fleet total is ~batches x workers.
+  if (auto worker_stats = index.AggregateStats(); worker_stats.ok()) {
     std::printf("worker fleet: %llu shard queries served\n",
                 static_cast<unsigned long long>(worker_stats.value().requests));
   }

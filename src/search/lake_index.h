@@ -45,7 +45,7 @@ class ThreadPool;
 namespace tsfm::search {
 
 /// Maps ranked table handles to their string ids, truncated to `k`.
-/// Shared by LakeIndex and ShardedLakeIndex so the two query surfaces
+/// Shared by LakeIndex and the sharded core so the two query surfaces
 /// cannot drift.
 std::vector<std::string> RankedTableIds(const std::vector<std::string>& table_ids,
                                         const std::vector<size_t>& handles,
@@ -107,8 +107,8 @@ class LakeIndex {
       LAKS_EXCLUDES(writer_mu_, mu_);
 
   /// A full from-scratch compaction image plus the old->new handle remap
-  /// (SIZE_MAX for tombstoned handles). Used by ShardedLakeIndex, which
-  /// rebuilds every shard off-lock and swaps them together with its global
+  /// (SIZE_MAX for tombstoned handles). Used by the sharded lake's shards,
+  /// which rebuild off-lock and are swapped in together with the global
   /// handle maps under one exclusive section. Callers must exclude
   /// concurrent mutations (queries may continue). Defined after the class
   /// (it holds a LakeIndex by value).
@@ -119,11 +119,6 @@ class LakeIndex {
   /// instead of rebuilding (HNSW under the tombstone threshold).
   bool WouldFoldInPlace(double hnsw_rebuild_threshold) const
       LAKS_EXCLUDES(mu_);
-
-  /// The in-place half of Compact for HNSW shards under the rebuild
-  /// threshold: inserts delta tables into the existing graph, keeps
-  /// tombstones. ShardedLakeIndex calls this under its own exclusive lock.
-  void FoldDeltaInPlace() LAKS_EXCLUDES(writer_mu_, mu_);
 
   /// Ranked table ids for a union/subset query (Fig 6 multi-column rank).
   std::vector<std::string> QueryUnionable(
@@ -231,6 +226,10 @@ class LakeIndex {
   /// Drops tombstoned hits and truncates to `m` (in place).
   void FilterDeadLocked(std::vector<ColumnEmbeddingIndex::ColumnHit>* hits,
                         size_t m) const LAKS_REQUIRES_SHARED(mu_);
+  /// The in-place half of Compact for HNSW lakes under the rebuild
+  /// threshold: inserts delta tables into the existing graph, keeps
+  /// tombstones.
+  void FoldDeltaInPlace() LAKS_EXCLUDES(writer_mu_, mu_);
   /// Moves `other`'s segment state into this index under the caller's
   /// exclusive lock, preserving this index's compaction counter.
   void AdoptLocked(LakeIndex&& other) LAKS_REQUIRES(mu_);

@@ -5,11 +5,11 @@
 // Tables are routed to shards by a stable hash of their string id
 // (util/hash.h StableShard), so every column of a table lives in exactly
 // one shard and the assignment survives rebuilds. Each shard owns its own
-// VectorIndex (flat or HNSW via IndexOptions). Queries scatter over all
-// shards — on a ThreadPool when one is given — and the per-shard sorted
-// candidate lists are gathered with TableRanker::MergeColumnHits (a k-way
-// heap merge) before the usual Fig 6 ranking, which makes the flat-backend
-// results bit-identical to an unsharded LakeIndex over the same corpus.
+// LakeIndex (flat or HNSW via IndexOptions). Queries, routing, the global
+// handle maps and compaction all live in the scatter/gather core
+// (search/shard_coordinator.h) that the distributed coordinator shares;
+// this class adds in-process LakeIndex shards and persistence. Flat-backend
+// results are bit-identical to an unsharded LakeIndex over the same corpus.
 //
 // On disk the index is a "LAKS" manifest (shard count, backend, metric,
 // dim, per-shard file names) next to one "LAK2" LakeIndex file per shard;
@@ -19,14 +19,14 @@
 #ifndef TSFM_SEARCH_SHARDED_LAKE_INDEX_H_
 #define TSFM_SEARCH_SHARDED_LAKE_INDEX_H_
 
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "search/lake_index.h"
-#include "util/mutex.h"
+#include "search/shard_coordinator.h"
 #include "util/status.h"
-#include "util/thread_annotations.h"
 
 namespace tsfm {
 class ThreadPool;
@@ -34,18 +34,16 @@ class ThreadPool;
 
 namespace tsfm::search {
 
+class LocalShard;
+
 /// \brief A LakeIndex partitioned across shards with scatter/gather ranking.
 ///
 /// Mirrors the LakeIndex query API (string table ids in, ranked ids out)
-/// and adds handle-level Rank* entry points with an exclude id for
+/// and adds handle-level Rank*Batch entry points with exclude ids for
 /// benchmark drivers. All query methods are const-thread-safe and may
-/// overlap AddTable/RemoveTable/Compact: a query pins one epoch of the
-/// global handle maps and shard set for its whole duration (shared lock),
-/// mutations serialize behind a writer mutex and publish under brief
-/// exclusive locks, and Compact rebuilds every churned shard off-lock
-/// before swapping shards + maps in one exclusive section. The optional
-/// ThreadPool fans work out over shards (single queries) or over queries
-/// (batch entry points); results are identical to the serial path.
+/// overlap AddTable/RemoveTable/Compact (see ShardCoordinator for the
+/// epoch locking). The optional ThreadPool fans work out over shards and
+/// per-shard query chunks; results are identical to the serial path.
 ///
 /// Like LakeIndex, each shard retains its raw column embeddings so Save
 /// can write self-contained shard files; a query-only deployment pays
@@ -56,12 +54,8 @@ class ShardedLakeIndex {
   /// owning a VectorIndex configured by `options`.
   ShardedLakeIndex(size_t dim, size_t num_shards, const IndexOptions& options = {});
 
-  /// Moves must not overlap any other operation on either operand (the
-  /// same contract as LakeIndex: a moved index re-arms fresh locks).
-  ShardedLakeIndex(ShardedLakeIndex&& other) noexcept;
-  ShardedLakeIndex& operator=(ShardedLakeIndex&& other) noexcept;
-  ShardedLakeIndex(const ShardedLakeIndex&) = delete;
-  ShardedLakeIndex& operator=(const ShardedLakeIndex&) = delete;
+  // Movable, not copyable. Moves must not overlap any other operation on
+  // either operand; the core (and so core()) survives a move unchanged.
 
   /// Routes the table to its shard by stable hash of `table_id` and
   /// registers its column embeddings. Returns the table's global handle
@@ -69,119 +63,70 @@ class ShardedLakeIndex {
   /// before any shard is sealed the table joins that shard's base segment
   /// (bulk build), afterwards its delta segment (live ingest).
   size_t AddTable(const std::string& table_id,
-                  const std::vector<std::vector<float>>& column_embeddings)
-      LAKS_EXCLUDES(writer_mu_, mu_);
+                  const std::vector<std::vector<float>>& column_embeddings);
 
   /// Tombstones the most recently added live table named `table_id` in its
   /// owning shard. kNotFound when no live table has that id. Safe to call
   /// concurrently with queries.
-  Status RemoveTable(const std::string& table_id)
-      LAKS_EXCLUDES(writer_mu_, mu_);
+  Status RemoveTable(const std::string& table_id) {
+    return core_->RemoveTable(table_id);
+  }
 
   /// Ends the bulk-build phase on every shard: later AddTable calls land
   /// in delta segments. Idempotent; Load() and Compact() seal.
-  void Seal() LAKS_EXCLUDES(writer_mu_, mu_);
+  void Seal() { core_->Seal(); }
 
   /// \brief Folds every shard's deltas + tombstones back into its base.
   ///
-  /// Rebuild shards are compacted off-lock in parallel over `pool`; the
-  /// new shards and the re-densified global handle maps are then swapped
-  /// in under one exclusive section, so concurrent queries see either the
-  /// old epoch or the new one, never a mix. HNSW shards at or under
-  /// `hnsw_rebuild_threshold` tombstone fraction fold in place (graph
-  /// insert of deltas, tombstones kept and filtered) and keep their
-  /// handles. Post-compaction flat-backend rankings are bit-identical to
-  /// a from-scratch build of the surviving tables in insertion order.
-  Status Compact(double hnsw_rebuild_threshold = 0.0,
-                 ThreadPool* pool = nullptr) LAKS_EXCLUDES(writer_mu_, mu_);
+  /// Churned shards are rebuilt off-lock in parallel over `pool`; the new
+  /// shards and the re-densified global handle maps are then swapped in
+  /// under one exclusive section, so concurrent queries see either the old
+  /// epoch or the new one, never a mix. Post-compaction flat-backend
+  /// rankings are bit-identical to a from-scratch build of the surviving
+  /// tables in insertion order.
+  Status Compact(ThreadPool* pool = nullptr) { return core_->Compact(pool); }
 
   /// Ranked table ids for a union/subset query (Fig 6 multi-column rank).
   std::vector<std::string> QueryUnionable(
       const std::vector<std::vector<float>>& query_columns, size_t k,
-      ThreadPool* pool = nullptr) const LAKS_EXCLUDES(mu_);
+      ThreadPool* pool = nullptr) const;
 
   /// Ranked table ids for a join query on a single column.
   std::vector<std::string> QueryJoinable(const std::vector<float>& query_column,
                                          size_t k,
-                                         ThreadPool* pool = nullptr) const
-      LAKS_EXCLUDES(mu_);
+                                         ThreadPool* pool = nullptr) const;
 
-  /// One QueryUnionable result per query; queries fan out over `pool`.
+  /// One QueryUnionable result per query, from one batched scatter.
   std::vector<std::vector<std::string>> QueryUnionableBatch(
       const std::vector<std::vector<std::vector<float>>>& queries, size_t k,
-      ThreadPool* pool = nullptr) const LAKS_EXCLUDES(mu_);
+      ThreadPool* pool = nullptr) const;
 
-  /// One QueryJoinable result per query column; queries fan out over `pool`.
+  /// One QueryJoinable result per query column, from one batched scatter.
   std::vector<std::vector<std::string>> QueryJoinableBatch(
       const std::vector<std::vector<float>>& query_columns, size_t k,
-      ThreadPool* pool = nullptr) const LAKS_EXCLUDES(mu_);
+      ThreadPool* pool = nullptr) const;
 
-  /// \brief Handle-level union/subset ranking with an exclude handle.
+  /// \brief Handle-level union/subset ranking with exclude handles.
   ///
-  /// Returns global table handles instead of ids and drops `exclude`
-  /// (SIZE_MAX excludes nothing) — the entry point RunSearch uses, where
-  /// the query table itself is part of the corpus.
-  std::vector<size_t> RankUnionable(
-      const std::vector<std::vector<float>>& query_columns, size_t k,
-      size_t exclude, ThreadPool* pool = nullptr) const LAKS_EXCLUDES(mu_);
-
-  /// Handle-level join ranking with an exclude handle.
-  std::vector<size_t> RankJoinable(const std::vector<float>& query_column,
-                                   size_t k, size_t exclude,
-                                   ThreadPool* pool = nullptr) const
-      LAKS_EXCLUDES(mu_);
-
-  /// Batch RankUnionable; `excludes` pairs with `queries` (empty = none).
+  /// Returns global table handles instead of ids and drops `excludes[q]`
+  /// from query q's ranking (empty or SIZE_MAX excludes nothing) — the
+  /// entry point RunSearch uses, where each query table is itself part of
+  /// the corpus.
   std::vector<std::vector<size_t>> RankUnionableBatch(
       const std::vector<std::vector<std::vector<float>>>& queries, size_t k,
-      const std::vector<size_t>& excludes, ThreadPool* pool = nullptr) const
-      LAKS_EXCLUDES(mu_);
+      const std::vector<size_t>& excludes, ThreadPool* pool = nullptr) const;
 
-  /// Batch RankJoinable; `excludes` pairs with `query_columns`.
+  /// Handle-level join ranking; `excludes` pairs with `query_columns`.
   std::vector<std::vector<size_t>> RankJoinableBatch(
       const std::vector<std::vector<float>>& query_columns, size_t k,
-      const std::vector<size_t>& excludes, ThreadPool* pool = nullptr) const
-      LAKS_EXCLUDES(mu_);
-
-  /// \brief Raw scatter/gather: the global top-`m` column hits for one query.
-  ///
-  /// Scatters the column search over all shards, remaps shard-local table
-  /// handles to global handles, and k-way-merges the sorted per-shard lists
-  /// (TableRanker::MergeColumnHits). This is the half of a query below the
-  /// Fig 6 ranking — exposed so a serving layer can answer SHARD_QUERY
-  /// frames for a distributed coordinator, which gathers hits from many
-  /// worker processes and runs the exact same ranking code on top.
-  std::vector<ColumnEmbeddingIndex::ColumnHit> SearchColumnHits(
-      const std::vector<float>& query, size_t m,
-      ThreadPool* pool = nullptr) const LAKS_EXCLUDES(mu_);
-
-  /// \brief Batched SearchColumnHits: one scatter per shard for the whole
-  /// query batch.
-  ///
-  /// Each shard answers ALL queries through one SearchColumnsBatch call —
-  /// on flat backends that is the multi-query mini-GEMM scan, so each
-  /// shard's rows stream from memory once per batch instead of once per
-  /// query. Shards (and the per-shard query chunks) fan out over `pool`
-  /// when given. Result q is identical to SearchColumnHits(query q, m).
-  std::vector<std::vector<ColumnEmbeddingIndex::ColumnHit>>
-  SearchColumnHitsBatch(const std::vector<std::vector<float>>& queries,
-                        size_t m, ThreadPool* pool = nullptr) const
-      LAKS_EXCLUDES(mu_);
-
-  /// \brief Wraps an already-built single LakeIndex as a 1-shard index.
-  ///
-  /// Used for legacy single-file formats and by shard workers, which serve
-  /// exactly one shard file of a distributed lake through the regular
-  /// ShardedLakeIndex surface.
-  static ShardedLakeIndex FromSingle(LakeIndex&& shard);
+      const std::vector<size_t>& excludes, ThreadPool* pool = nullptr) const;
 
   /// \brief Persists the index as a "LAKS" manifest plus one shard file.
   ///
   /// `path` names the manifest; shard s is written next to it as
   /// "<basename>.shard-<s>" and recorded in the manifest by that relative
   /// name. Shard files are written in parallel over `pool` when given.
-  Status Save(const std::string& path, ThreadPool* pool = nullptr) const
-      LAKS_EXCLUDES(writer_mu_, mu_);
+  Status Save(const std::string& path, ThreadPool* pool = nullptr) const;
 
   /// \brief Loads an index written by Save, shards in parallel over `pool`.
   ///
@@ -193,100 +138,56 @@ class ShardedLakeIndex {
   static Result<ShardedLakeIndex> Load(const std::string& path,
                                        ThreadPool* pool = nullptr);
 
-  size_t num_shards() const LAKS_EXCLUDES(mu_) {
-    ReaderMutexLock lock(&mu_);
-    return shards_.size();
-  }
+  size_t num_shards() const { return core_->num_shards(); }
   /// Global handle-space size: live + tombstoned tables (re-densified by a
   /// full compaction, like LakeIndex handles).
-  size_t num_tables() const LAKS_EXCLUDES(mu_);
+  size_t num_tables() const { return core_->num_tables(); }
   /// Tables a query can still return.
-  size_t num_live_tables() const LAKS_EXCLUDES(mu_);
-  /// Total column count across all shards (the ceiling on SearchColumnHits
-  /// results — a serving layer clamps hostile `m` to it).
-  size_t num_columns() const LAKS_EXCLUDES(mu_);
-  size_t dim() const { return dim_; }
-  const IndexOptions& options() const { return options_; }
+  size_t num_live_tables() const;
+  /// Total column count across all shards (the ceiling on a shard query's
+  /// hits — a serving layer clamps hostile `m` to it).
+  size_t num_columns() const { return core_->Totals().columns; }
+  size_t dim() const { return core_->dim(); }
+  const IndexOptions& options() const { return core_->options(); }
   /// The id behind a global handle (a copy: the maps may be re-densified
   /// by a concurrent compaction).
-  std::string table_id(size_t handle) const LAKS_EXCLUDES(mu_);
+  std::string table_id(size_t handle) const { return core_->table_id(handle); }
 
   /// The shard `table_id` routes to (stable across rebuilds and processes).
-  size_t shard_of(const std::string& table_id) const LAKS_EXCLUDES(mu_);
-
-  /// Number of tables resident in shard `s` (live + tombstoned).
-  size_t shard_size(size_t s) const LAKS_EXCLUDES(mu_) {
-    ReaderMutexLock lock(&mu_);
-    return shards_[s].num_tables();
+  size_t shard_of(const std::string& table_id) const {
+    return core_->shard_of(table_id);
   }
 
+  /// Number of tables resident in shard `s` (live + tombstoned).
+  size_t shard_size(size_t s) const { return core_->shard_size(s); }
+
   /// Delta tables across all shards awaiting the next compaction.
-  size_t pending_delta_tables() const LAKS_EXCLUDES(mu_);
+  size_t pending_delta_tables() const {
+    return core_->Totals().pending_delta_tables;
+  }
   /// Tombstoned-but-not-yet-compacted tables across all shards.
-  size_t pending_tombstones() const LAKS_EXCLUDES(mu_);
-  /// Completed Compact calls on this sharded index (shard-internal folds
-  /// triggered through this index count once, not per shard).
-  uint64_t compactions() const LAKS_EXCLUDES(mu_);
+  size_t pending_tombstones() const {
+    return core_->Totals().pending_tombstones;
+  }
+  /// Completed Compact calls on this sharded index.
+  uint64_t compactions() const { return core_->Churn().compactions; }
   /// True when any shard carries pending deltas or tombstones.
-  bool churned() const LAKS_EXCLUDES(mu_);
+  bool churned() const;
+
+  /// The scatter/gather core: what a serving backend drives directly.
+  ShardCoordinator& core() { return *core_; }
 
  private:
-  explicit ShardedLakeIndex(size_t dim, const IndexOptions& options);
+  ShardedLakeIndex(std::unique_ptr<ShardCoordinator> core,
+                   std::vector<LocalShard*> shards);
+  /// Hands `indexes` to a new core over the handle space `locator`.
+  static Result<ShardedLakeIndex> Adopt(
+      size_t dim, const IndexOptions& options, std::vector<LakeIndex> indexes,
+      const std::vector<std::pair<size_t, size_t>>& locator);
 
-  /// Registers every table of shard `s` in the global handle maps, in the
-  /// shard's insertion order.
-  void IndexShardTables(size_t s) LAKS_REQUIRES(mu_);
-  /// Unanalyzed on purpose: moves must not overlap any other operation on
-  /// either operand (the documented move contract), so no lock is held.
-  void MoveFieldsFrom(ShardedLakeIndex&& other) LAKS_NO_THREAD_SAFETY_ANALYSIS;
-  size_t ShardOfLocked(const std::string& table_id) const
-      LAKS_REQUIRES_SHARED(mu_);
-
-  std::vector<ColumnEmbeddingIndex::ColumnHit> SearchColumnHitsLocked(
-      const std::vector<float>& query, size_t m, ThreadPool* pool) const
-      LAKS_REQUIRES_SHARED(mu_);
-  std::vector<std::vector<ColumnEmbeddingIndex::ColumnHit>>
-  SearchColumnHitsBatchLocked(const std::vector<std::vector<float>>& queries,
-                              size_t m, ThreadPool* pool) const
-      LAKS_REQUIRES_SHARED(mu_);
-  std::vector<size_t> RankUnionableLocked(
-      const std::vector<std::vector<float>>& query_columns, size_t k,
-      size_t exclude, ThreadPool* pool) const LAKS_REQUIRES_SHARED(mu_);
-  std::vector<std::vector<size_t>> RankUnionableBatchLocked(
-      const std::vector<std::vector<std::vector<float>>>& queries, size_t k,
-      const std::vector<size_t>& excludes, ThreadPool* pool) const
-      LAKS_REQUIRES_SHARED(mu_);
-  std::vector<std::vector<size_t>> RankJoinableBatchLocked(
-      const std::vector<std::vector<float>>& query_columns, size_t k,
-      const std::vector<size_t>& excludes, ThreadPool* pool) const
-      LAKS_REQUIRES_SHARED(mu_);
-
-  // Lock order: writer_mu_ before mu_ (before any shard's own locks).
-  // Queries hold mu_ shared across the whole scatter + merge + rank so the
-  // maps and shard set they read belong to one epoch; mutations take
-  // writer_mu_, then mu_ exclusive only for the brief publish step.
-  //
-  // mutable writer_mu_: Save is const but must exclude mutations so the
-  // manifest and shard files describe one epoch.
-  mutable Mutex writer_mu_;
-  mutable SharedMutex mu_ LAKS_ACQUIRED_AFTER(writer_mu_);
-
-  // dim_ and options_ are set before the index is shared (constructor /
-  // Load, moves excepted) and never change afterwards, so they are read
-  // without the lock.
-  size_t dim_;
-  IndexOptions options_;
-  // The vector structure (element count) only changes pre-publication; a
-  // compaction swaps *elements* under an exclusive lock, which is why the
-  // whole vector is guarded. Each element also carries its own locks.
-  std::vector<LakeIndex> shards_ LAKS_GUARDED_BY(mu_);
-  // handle -> id
-  std::vector<std::string> global_ids_ LAKS_GUARDED_BY(mu_);
-  // handle -> (shard, local)
-  std::vector<std::pair<size_t, size_t>> locator_ LAKS_GUARDED_BY(mu_);
-  // shard -> local -> handle
-  std::vector<std::vector<size_t>> to_global_ LAKS_GUARDED_BY(mu_);
-  uint64_t compactions_ LAKS_GUARDED_BY(mu_) = 0;
+  std::unique_ptr<ShardCoordinator> core_;
+  // The core owns the shards; these typed views are for Save.
+  std::vector<LocalShard*> shards_;
 };
 
 }  // namespace tsfm::search

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "search/shard_coordinator.h"
 #include "search/sharded_lake_index.h"
 #include "server/distributed_lake_index.h"
 #include "server/protocol.h"
@@ -92,42 +93,64 @@ class LakeBackend {
   virtual ChurnCounters Churn() const { return {}; }
 };
 
-/// \brief LakeBackend over an owned in-process ShardedLakeIndex.
+/// \brief LakeBackend over a scatter/gather core (search/shard_coordinator.h).
 ///
-/// The PR 3 deployment, and — over a 1-shard index loaded from one shard
-/// file — what a lake_shard_worker process serves.
-class InProcessBackend final : public LakeBackend {
+/// Every query, mutation and counter of both deployments goes through the
+/// one core; the subclasses below only own the facade that built it and
+/// say whether SHARD_QUERY is served.
+class CoordinatorBackend : public LakeBackend {
  public:
-  explicit InProcessBackend(search::ShardedLakeIndex index)
-      : index_(std::move(index)) {
-    // A served lake is a live artifact: tables ingested from here on are
-    // churn (delta segments + tombstones), not bulk build, on every shard.
-    index_.Seal();
-  }
-
-  const search::ShardedLakeIndex& index() const { return index_; }
-
-  size_t dim() const override { return index_.dim(); }
-  size_t num_tables() const override { return index_.num_tables(); }
-  size_t num_columns() const override { return index_.num_columns(); }
-  const char* kind() const override { return "in-process"; }
+  size_t dim() const override { return core_->dim(); }
+  size_t num_tables() const override { return core_->num_tables(); }
+  size_t num_columns() const override { return core_->Totals().columns; }
 
   Result<std::vector<std::vector<std::string>>> QueryJoinableBatch(
       const std::vector<std::vector<float>>& queries, size_t k,
-      ThreadPool* pool) const override;
+      ThreadPool* pool) const override {
+    return core_->QueryJoinableBatch(queries, k, pool);
+  }
   Result<std::vector<std::vector<std::string>>> QueryUnionableBatch(
       const std::vector<std::vector<std::vector<float>>>& queries, size_t k,
-      ThreadPool* pool) const override;
-  Result<std::vector<std::vector<ShardHit>>> ShardQuery(
-      const std::vector<std::vector<float>>& columns, size_t m,
-      ThreadPool* pool) const override;
-  Result<std::vector<std::string>> TableIds() const override;
+      ThreadPool* pool) const override {
+    return core_->QueryUnionableBatch(queries, k, pool);
+  }
+  Result<std::vector<std::string>> TableIds() const override {
+    return core_->TableIds();
+  }
   ShardHealth Health() const override;
   Status AddTable(const std::string& table_id,
                   const std::vector<std::vector<float>>& columns) override;
-  Status RemoveTable(const std::string& table_id) override;
-  Status Compact(ThreadPool* pool) override;
-  ChurnCounters Churn() const override;
+  Status RemoveTable(const std::string& table_id) override {
+    return core_->RemoveTable(table_id);
+  }
+  Status Compact(ThreadPool* pool) override { return core_->Compact(pool); }
+  ChurnCounters Churn() const override { return core_->Churn(); }
+
+ protected:
+  /// `core` is owned by the subclass's facade, which keeps it at a fixed
+  /// address for its whole life (moves included).
+  explicit CoordinatorBackend(search::ShardCoordinator* core) : core_(core) {}
+
+  const search::ShardCoordinator& core() const { return *core_; }
+
+ private:
+  search::ShardCoordinator* core_;
+};
+
+/// \brief LakeBackend over an owned in-process ShardedLakeIndex.
+///
+/// The single-server deployment, and — over a 1-shard index loaded from
+/// one shard file — what a lake_shard_worker process serves.
+class InProcessBackend final : public CoordinatorBackend {
+ public:
+  explicit InProcessBackend(search::ShardedLakeIndex index);
+
+  const search::ShardedLakeIndex& index() const { return index_; }
+  const char* kind() const override { return "in-process"; }
+
+  Result<std::vector<std::vector<ShardHit>>> ShardQuery(
+      const std::vector<std::vector<float>>& columns, size_t m,
+      ThreadPool* pool) const override;
 
  private:
   search::ShardedLakeIndex index_;
@@ -138,34 +161,16 @@ class InProcessBackend final : public LakeBackend {
 /// Lets the public LakeServer front a fleet of shard worker processes with
 /// the exact same wire surface clients already speak. ShardQuery is
 /// rejected (a coordinator is not itself a shard).
-class DistributedBackend final : public LakeBackend {
+class DistributedBackend final : public CoordinatorBackend {
  public:
-  explicit DistributedBackend(DistributedLakeIndex index)
-      : index_(std::move(index)) {}
+  explicit DistributedBackend(DistributedLakeIndex index);
 
   const DistributedLakeIndex& index() const { return index_; }
-
-  size_t dim() const override { return index_.dim(); }
-  size_t num_tables() const override { return index_.num_tables(); }
-  size_t num_columns() const override { return index_.num_columns(); }
   const char* kind() const override { return "distributed"; }
 
-  Result<std::vector<std::vector<std::string>>> QueryJoinableBatch(
-      const std::vector<std::vector<float>>& queries, size_t k,
-      ThreadPool* pool) const override;
-  Result<std::vector<std::vector<std::string>>> QueryUnionableBatch(
-      const std::vector<std::vector<std::vector<float>>>& queries, size_t k,
-      ThreadPool* pool) const override;
   Result<std::vector<std::vector<ShardHit>>> ShardQuery(
       const std::vector<std::vector<float>>& columns, size_t m,
       ThreadPool* pool) const override;
-  Result<std::vector<std::string>> TableIds() const override;
-  ShardHealth Health() const override;
-  Status AddTable(const std::string& table_id,
-                  const std::vector<std::vector<float>>& columns) override;
-  Status RemoveTable(const std::string& table_id) override;
-  Status Compact(ThreadPool* pool) override;
-  ChurnCounters Churn() const override;
 
  private:
   DistributedLakeIndex index_;

@@ -1,19 +1,21 @@
 // Distributed data-lake index (ROADMAP "Distributed shards"): the
-// ShardedLakeIndex scatter/gather path stretched across process
-// boundaries. Each shard of a saved "LAKS" lake runs as its own
+// scatter/gather core (search/shard_coordinator.h) over shards that live in
+// other processes. Each shard of a saved "LAKS" lake runs as its own
 // lake_shard_worker process serving one shard file over the AF_UNIX wire
 // protocol; this coordinator opens only the manifest, handshakes every
-// worker, and answers the same join/union query surface by scattering
-// SHARD_QUERY frames and gathering through the exact ranking code the
-// in-process index uses (TableRanker::MergeColumnHits + Fig 6 RANK1/2).
+// worker, and puts one remote shard per worker behind the same core the
+// in-process ShardedLakeIndex uses — same remap, same merge + Fig 6 rank,
+// same routing, same locking, same compaction re-densify.
 //
-// Parity: a SHARD_QUERY returns each worker's sorted top-m column hits in
-// its local handle space with precomputed query embeddings on the wire (so
-// workers never re-embed); the coordinator remaps local handles through
-// the manifest's locator into the global insertion order — the same
-// monotone remap ShardedLakeIndex uses — which makes flat-backend results
-// bit-identical to the in-process sharded index over the same shard files
-// (tests/distributed_lake_index_test.cc proves this at 1/2/4 workers).
+// Parity: a batch of queries costs each worker one SHARD_QUERY frame
+// carrying every query column (precomputed embeddings, so workers never
+// re-embed), split only when a frame would exceed the protocol's column
+// cap or DistributedOptions::max_frame_bytes. Each worker answers with its
+// sorted top-m column hits in its local handle space, which the core
+// remaps through the manifest's locator into the global insertion order —
+// so flat-backend results are bit-identical to the in-process sharded
+// index over the same shard files (tests/distributed_lake_index_test.cc
+// proves this at 1/2/4 workers).
 //
 // Failure semantics: every per-shard round trip is bounded by
 // DistributedOptions::shard_timeout_ms, and a transport failure (worker
@@ -27,10 +29,10 @@
 #include <cstddef>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "search/table_ranker.h"
-#include "search/vector_index.h"
+#include "search/shard_coordinator.h"
 #include "server/protocol.h"
 #include "util/status.h"
 
@@ -53,23 +55,18 @@ struct DistributedOptions {
   size_t max_frame_bytes = kDefaultMaxFrameBytes;
 };
 
-/// Point-in-time churn counters (the shape of the v3 STATS churn fields).
-/// Defined here rather than in backend.h so the coordinator can report
-/// them without depending on the serving seam.
-struct LakeChurnCounters {
-  uint64_t pending_delta_tables = 0;
-  uint64_t pending_tombstones = 0;
-  uint64_t compactions = 0;
-};
+using search::LakeChurnCounters;
+
+class RemoteShard;
 
 /// \brief A ShardedLakeIndex-shaped query surface over worker processes.
 ///
 /// Construct with Connect. Query methods mirror ShardedLakeIndex
 /// (QueryJoinable/QueryUnionable + batch variants, optional ThreadPool to
-/// fan the scatter out) but return Result: a dead or mismatched worker is
-/// a recoverable error naming the shard, not a crash. All query methods
-/// are const-thread-safe; the connection pool grows on demand. Movable,
-/// not copyable.
+/// fan the scatter out over workers) but return Result: a dead or
+/// mismatched worker is a recoverable error naming the shard, not a crash.
+/// All query methods are const-thread-safe; the connection pools grow on
+/// demand. Movable, not copyable.
 class DistributedLakeIndex {
  public:
   /// \brief Opens the manifest, handshakes every worker, builds the global
@@ -92,13 +89,6 @@ class DistributedLakeIndex {
       const std::vector<std::string>& worker_sockets,
       const DistributedOptions& options = {});
 
-  DistributedLakeIndex(DistributedLakeIndex&&) noexcept;
-  DistributedLakeIndex& operator=(DistributedLakeIndex&&) noexcept;
-  ~DistributedLakeIndex();
-
-  DistributedLakeIndex(const DistributedLakeIndex&) = delete;
-  DistributedLakeIndex& operator=(const DistributedLakeIndex&) = delete;
-
   /// Ranked table ids for a join query on a single column.
   Result<std::vector<std::string>> QueryJoinable(
       const std::vector<float>& query_column, size_t k,
@@ -109,17 +99,21 @@ class DistributedLakeIndex {
       const std::vector<std::vector<float>>& query_columns, size_t k,
       ThreadPool* pool = nullptr) const;
 
-  /// One QueryJoinable result per query column; queries fan out over
-  /// `pool`, each query's scatter then runs serially (ParallelFor must not
-  /// nest). The first shard failure fails the whole batch.
+  /// One QueryJoinable result per query column, from one SHARD_QUERY per
+  /// worker (workers fan out over `pool`). Any shard failure fails the
+  /// whole batch.
   Result<std::vector<std::vector<std::string>>> QueryJoinableBatch(
       const std::vector<std::vector<float>>& query_columns, size_t k,
-      ThreadPool* pool = nullptr) const;
+      ThreadPool* pool = nullptr) const {
+    return core_->QueryJoinableBatch(query_columns, k, pool);
+  }
 
-  /// One QueryUnionable result per query; same fan-out and failure rules.
+  /// One QueryUnionable result per query; same scatter and failure rules.
   Result<std::vector<std::vector<std::string>>> QueryUnionableBatch(
       const std::vector<std::vector<std::vector<float>>>& queries, size_t k,
-      ThreadPool* pool = nullptr) const;
+      ThreadPool* pool = nullptr) const {
+    return core_->QueryUnionableBatch(queries, k, pool);
+  }
 
   /// Fresh HEALTH from every worker, indexed by shard.
   Result<std::vector<ShardHealth>> Health() const;
@@ -142,40 +136,44 @@ class DistributedLakeIndex {
 
   /// Tombstones the newest live table named `table_id` on its owning shard
   /// and in the local maps. kNotFound when no live table has that id.
-  Status RemoveTable(const std::string& table_id);
+  Status RemoveTable(const std::string& table_id) {
+    return core_->RemoveTable(table_id);
+  }
 
-  /// \brief Sends COMPACT to every worker, then re-densifies the global
+  /// \brief Sends COMPACT to every worker and re-densifies the global
   /// handle maps to mirror the workers' full rebuilds (survivors keep
   /// their per-shard insertion order).
   ///
-  /// On a partial failure the coordinator's maps are left at the old
-  /// epoch and mutations are disabled (reconnect to recover) — some
-  /// workers may have compacted, so the handle spaces no longer line up.
-  Status Compact(ThreadPool* pool = nullptr);
+  /// Queries wait while the workers compact, so none can remap
+  /// post-compaction hits through pre-compaction maps. On a partial
+  /// failure the coordinator's maps are left at the old epoch and
+  /// mutations are disabled (reconnect to recover) — some workers may have
+  /// compacted, so the handle spaces no longer line up.
+  Status Compact(ThreadPool* pool = nullptr) { return core_->Compact(pool); }
 
-  /// Coordinator-side churn counters (pending deltas/tombstones mirrored
-  /// from the mutations issued through this coordinator).
-  LakeChurnCounters Churn() const;
+  /// Churn counters from the per-worker mirrors: seeded by each worker's
+  /// STATS at Connect, then advanced by mutations through this coordinator.
+  LakeChurnCounters Churn() const { return core_->Churn(); }
 
-  size_t num_shards() const;
-  size_t num_tables() const;
-  size_t num_columns() const;
-  size_t dim() const;
-  search::IndexBackend backend() const;
-  search::Metric metric() const;
+  size_t num_shards() const { return core_->num_shards(); }
+  size_t num_tables() const { return core_->num_tables(); }
+  size_t num_columns() const { return core_->Totals().columns; }
+  size_t dim() const { return core_->dim(); }
   /// The id behind a global handle (a copy: the maps may be re-densified
   /// by a concurrent Compact).
-  std::string table_id(size_t handle) const;
-  const std::string& worker_socket(size_t shard) const;
+  std::string table_id(size_t handle) const { return core_->table_id(handle); }
+
+  /// The scatter/gather core: what a serving backend drives directly.
+  search::ShardCoordinator& core() { return *core_; }
 
  private:
-  // All locking lives on State (see the .cc): it is a complete type there,
-  // so the thread-safety annotations can name its capabilities directly.
-  struct State;
+  DistributedLakeIndex(std::unique_ptr<search::ShardCoordinator> core,
+                       std::vector<RemoteShard*> shards)
+      : core_(std::move(core)), shards_(std::move(shards)) {}
 
-  explicit DistributedLakeIndex(std::unique_ptr<State> state);
-
-  std::unique_ptr<State> state_;
+  std::unique_ptr<search::ShardCoordinator> core_;
+  // The core owns the shards; these typed views serve Health/Stats.
+  std::vector<RemoteShard*> shards_;
 };
 
 }  // namespace tsfm::server

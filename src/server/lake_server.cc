@@ -144,8 +144,8 @@ void LakeServer::MaybeAutoCompact() {
     return;
   }
   if (compacting_.exchange(true)) return;  // one in flight is enough
-  // The compaction itself runs serially (pool=nullptr): its task lives on
-  // the query pool, and ParallelFor must not nest on the pool it runs on.
+  // The compaction itself runs serially (pool=nullptr), so a background
+  // fold occupies one query-pool thread and leaves the rest to queries.
   // Stop() drains the query pool, so a compaction in flight at shutdown
   // completes rather than being torn out from under the backend.
   if (!query_pool_->Submit([this] {

@@ -45,6 +45,10 @@ inline constexpr uint8_t kMinProtocolVersion = 1;
 /// negotiated ceiling is answered with a Status error, not an allocation.
 inline constexpr size_t kDefaultMaxFrameBytes = 16u << 20;
 
+/// Most query columns one request, or hit lists one SHARD_QUERY response,
+/// may carry; decoders reject more as hostile.
+inline constexpr uint64_t kMaxColumns = 1u << 16;
+
 /// Request kinds. Values are wire format — never renumber.
 enum class Opcode : uint8_t {
   kJoin = 1,         ///< rank tables joinable on one query column

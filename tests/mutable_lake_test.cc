@@ -392,7 +392,7 @@ TEST(MutableLakeTest, ShardedChurnParityAcrossShardCountsAndStorage) {
               << shards << " shards, pre-compaction";
         }
       }
-      ASSERT_TRUE(index.Compact(/*hnsw_rebuild_threshold=*/0.0, &pool).ok());
+      ASSERT_TRUE(index.Compact(&pool).ok());
       EXPECT_EQ(index.num_tables(), survivors.tables.size());
       EXPECT_EQ(index.pending_tombstones(), 0u);
       EXPECT_EQ(index.compactions(), 1u);
